@@ -365,9 +365,9 @@ func BenchmarkCompiledReplay(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
 	}
 
-	// NoAccounting everywhere: two time.Now calls per executed task would
-	// otherwise floor every variant at the clock cost (that is what the
-	// option is for — overhead micro-measurements).
+	// NoAccounting everywhere: two monotonic clock reads per executed
+	// task would otherwise floor every variant at the clock cost (that is
+	// what the option is for — overhead micro-measurements).
 	b.Run("closure", func(b *testing.B) {
 		rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: benchWorkers, Mapping: m, NoAccounting: true})
 		if err != nil {

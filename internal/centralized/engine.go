@@ -415,9 +415,9 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	m.mu.Lock()
 	if m.eng.window > 0 {
 		for m.inflight >= m.eng.window && m.cancelErr == nil && !m.failed {
-			t0 := time.Now()
+			t0 := trace.Mono()
 			m.progress.Wait()
-			waited := time.Since(t0)
+			waited := trace.Mono() - t0
 			m.idle += waited
 			if !m.eng.noAcct {
 				m.prog.AddWait(waited)
@@ -609,9 +609,9 @@ func execOnce(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 	if noAcct {
 		t.run(w)
 	} else {
-		tt := time.Now()
+		tt := trace.Mono()
 		t.run(w)
-		*taskTime += time.Since(tt)
+		*taskTime += trace.Mono() - tt
 	}
 	if h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(w, t.id)
@@ -630,9 +630,9 @@ func tryTask(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) (cau
 	if noAcct {
 		t.run(w)
 	} else {
-		tt := time.Now()
+		tt := trace.Mono()
 		t.run(w)
-		*taskTime += time.Since(tt)
+		*taskTime += trace.Mono() - tt
 	}
 	return nil, true
 }
@@ -686,9 +686,9 @@ func (m *master) drain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.completed < m.submitted && m.cancelErr == nil && !m.failed {
-		t0 := time.Now()
+		t0 := trace.Mono()
 		m.progress.Wait()
-		waited := time.Since(t0)
+		waited := trace.Mono() - t0
 		m.idle += waited
 		if !m.eng.noAcct {
 			m.prog.AddWait(waited)

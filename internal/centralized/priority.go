@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rio/internal/trace"
 )
 
 // prioScheduler dispatches ready tasks deepest-dependency-level first (FIFO
@@ -64,9 +66,9 @@ func (s *prioScheduler) pop(int) (*task, time.Duration) {
 		}
 		s.mu.Lock()
 		for s.heap.Len() == 0 && !s.closed {
-			t0 := time.Now()
+			t0 := trace.Mono()
 			s.nonEmpty.Wait()
-			idle += time.Since(t0)
+			idle += trace.Mono() - t0
 		}
 		s.mu.Unlock()
 	}

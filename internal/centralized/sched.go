@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"rio/internal/stf"
+	"rio/internal/trace"
 )
 
 // scheduler moves ready tasks from the master to the executing workers.
@@ -57,14 +58,14 @@ func (wt waitTuning) spinPop(readyOrClosed func() bool) (hit bool, idle time.Dur
 	if n == 0 {
 		return false, 0
 	}
-	t0 := time.Now()
+	t0 := trace.Mono()
 	for i := 0; n < 0 || i < n; i++ {
 		if readyOrClosed() {
-			return true, time.Since(t0)
+			return true, trace.Mono() - t0
 		}
 		runtime.Gosched()
 	}
-	return false, time.Since(t0)
+	return false, trace.Mono() - t0
 }
 
 // SchedulerKind selects the dispatch strategy of the centralized engine.
@@ -157,9 +158,9 @@ func (q *fifoQueue) pop(int) (*task, time.Duration) {
 		}
 		q.mu.Lock()
 		for q.head == len(q.items) && !q.closed {
-			t0 := time.Now()
+			t0 := trace.Mono()
 			q.nonEmpty.Wait()
-			idle += time.Since(t0)
+			idle += trace.Mono() - t0
 		}
 		q.mu.Unlock()
 	}
@@ -289,17 +290,17 @@ func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 		// probe here — deque locks are sharded, so probing them does not
 		// serialize the pushers) before parking.
 		if n := s.wt.budget(); n != 0 {
-			t0 := time.Now()
+			t0 := trace.Mono()
 			for i := 0; n < 0 || i < n; i++ {
 				runtime.Gosched()
 				if t := s.scan(w); t != nil {
-					return t, idle + time.Since(t0)
+					return t, idle + trace.Mono() - t0
 				}
 				if s.done.Load() {
 					break
 				}
 			}
-			idle += time.Since(t0)
+			idle += trace.Mono() - t0
 		}
 		// Nothing found: park until a push or close changes the world.
 		s.mu.Lock()
@@ -308,11 +309,11 @@ func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 			s.mu.Unlock()
 			return nil, idle
 		}
-		t0 := time.Now()
+		t0 := trace.Mono()
 		for s.version == v && !s.closed {
 			s.wake.Wait()
 		}
-		idle += time.Since(t0)
+		idle += trace.Mono() - t0
 		s.mu.Unlock()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"rio/internal/stf"
 )
@@ -270,17 +269,9 @@ func (s *submitter) execCompiled(t *stf.Task, k stf.Kernel) {
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(s.worker, t.ID)
 	}
-	if s.retry != nil {
-		if !s.runAttempts(t.Accesses, int64(t.ID), func() { k(t, s.worker) }) {
-			s.prog.SetCurrent(stf.NoTask)
-			return
-		}
-	} else if s.eng.noAcct {
-		k(t, s.worker)
-	} else {
-		t0 := time.Now()
-		k(t, s.worker)
-		s.ws.Task += time.Since(t0)
+	if !s.execBody(t.Accesses, int64(t.ID), taskBody{t: t, k: k}) {
+		s.prog.SetCurrent(stf.NoTask)
+		return
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(s.worker, t.ID)

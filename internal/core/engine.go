@@ -22,7 +22,8 @@ type Options struct {
 	Mapping stf.Mapping
 	// NoAccounting disables per-task and per-wait time-stamping. Wall
 	// time and task counters are still collected. Use for overhead
-	// micro-measurements where two time.Now calls per task would matter.
+	// micro-measurements where two monotonic clock reads per executed task
+	// (and two per blocking dependency wait) would matter.
 	NoAccounting bool
 	// WaitPolicy selects how dependency waits behave once the busy-poll
 	// phase has not resolved them (see stf.WaitPolicy). The zero value is
@@ -119,6 +120,11 @@ type Engine struct {
 	stealMetaCache atomic.Pointer[stealMetaEntry]
 	stats          trace.Stats
 	progress       atomic.Pointer[trace.ProgressTable]
+	// steals holds each worker's steal state, built by the first run with
+	// a steal policy and kept across runs so a warmed candidate ring
+	// records without allocating. An abandoned run drops them: its wedged
+	// worker may still touch its own.
+	steals []*stealState
 	// sessionActive latches while a streaming Session (OpenSession) owns the
 	// engine's workers; Run and a second OpenSession are rejected until the
 	// session is closed.
@@ -325,6 +331,12 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 	// One mapping snapshot for the whole run: every worker must resolve
 	// ownership identically even if SetMapping races the run's start.
 	mapping := *e.mapping.Load()
+	if e.steal != nil && e.steals == nil {
+		e.steals = make([]*stealState, e.workers)
+		for w := range e.steals {
+			e.steals[w] = newStealState(e.steal, stf.WorkerID(w), e.workers)
+		}
+	}
 	subs := make([]*submitter, e.workers)
 	for w := range subs {
 		subs[w] = &submitter{
@@ -349,8 +361,9 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		if guard {
 			subs[w].guard = &guardState{}
 		}
-		if e.steal != nil {
-			subs[w].steal = newStealState(e.steal, stf.WorkerID(w), e.workers)
+		if e.steals != nil {
+			e.steals[w].reset(nil, nil, nil)
+			subs[w].steal = e.steals[w]
 		}
 	}
 
@@ -418,6 +431,7 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		case <-done:
 			grace.Stop()
 		case <-grace.C:
+			e.steals = nil
 			e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: time.Since(start)}
 			return fmt.Errorf("core: run abandoned (a worker is wedged inside a task body and cannot be stopped; do not reuse this engine): %w", st)
 		}
@@ -599,7 +613,7 @@ func (s *submitter) NumWorkers() int { return s.eng.workers }
 // Submit implements stf.Submitter for closure tasks.
 func (s *submitter) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
 	id := s.next
-	s.submit(id, accesses, func() { fn() })
+	s.submit(id, accesses, taskBody{fn: fn})
 	return id
 }
 
@@ -619,51 +633,46 @@ func (s *submitter) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
 		// cross-worker divergence check does not apply.
 		s.guard.markGap()
 	}
-	s.submitRecorded(t, k)
+	s.submit(t.ID, t.Accesses, taskBody{t: t, k: k})
 	return t.ID
 }
 
-func (s *submitter) submitRecorded(t *stf.Task, k stf.Kernel) {
-	if s.err != nil {
-		return
+// taskBody is a task body in either submission form: a closure (Submit) or
+// a recorded task with its kernel (SubmitTask, compiled replay). It travels
+// by value through execution, retry and the steal ring, so neither form
+// costs an allocation per task.
+type taskBody struct {
+	fn stf.TaskFunc // closure form; nil selects t and k
+	t  *stf.Task
+	k  stf.Kernel
+}
+
+// runBody runs a task body once, charging its duration to the worker's task
+// time (τ_{p,t}) unless accounting is off: two monotonic clock reads per
+// executed task.
+func (s *submitter) runBody(b taskBody) {
+	var t0 time.Duration
+	if !s.eng.noAcct {
+		t0 = trace.Mono()
 	}
-	if s.abort.raised() {
-		s.fail(errAborted)
-		return
-	}
-	id := t.ID
-	if s.resume != nil && s.resume.Contains(id) {
-		s.skipCompleted(id)
-		return
-	}
-	s.next = id + 1
-	if s.guard != nil {
-		s.guard.fold(id, t.Accesses)
-	}
-	execute, owner, ok := s.owns(id)
-	if !ok {
-		return
-	}
-	if execute {
-		s.acquire(id, t.Accesses)
-		if s.err != nil {
-			return // aborted while waiting
-		}
-		if s.execLocked(t.Accesses, int64(id), func() { k(t, s.worker) }) {
-			s.ws.Executed++
-			s.prog.StoreExecuted(s.ws.Executed)
-			if s.track {
-				s.done = append(s.done, id)
-			}
-		}
+	if b.fn != nil {
+		b.fn()
 	} else {
-		if st := s.steal; st != nil && owner != s.worker && st.wants(owner) {
-			s.recordStealCand(owner, id, t.Accesses, func() { k(t, s.worker) })
-		}
-		s.declare(t.Accesses, int64(id))
-		s.ws.Declared++
-		s.prog.StoreDeclared(s.ws.Declared)
+		b.k(b.t, s.worker)
 	}
+	if !s.eng.noAcct {
+		s.ws.Task += trace.Mono() - t0
+	}
+}
+
+// execBody runs a task body under the retry policy, if any, and reports
+// whether it completed (see runAttempts).
+func (s *submitter) execBody(accesses []stf.Access, id int64, b taskBody) bool {
+	if s.retry != nil {
+		return s.runAttempts(accesses, id, b)
+	}
+	s.runBody(b)
+	return true
 }
 
 // skipCompleted advances past a task a Resume checkpoint marks completed:
@@ -687,7 +696,7 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 // propagates to the worker recover and the run aborts; with one, the
 // attempt loop (runAttempts) rolls the write-set back and either retries
 // or fails the task gracefully, returning false.
-func (s *submitter) execLocked(accesses []stf.Access, id int64, run func()) bool {
+func (s *submitter) execLocked(accesses []stf.Access, id int64, b taskBody) bool {
 	if s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
 	}
@@ -699,17 +708,9 @@ func (s *submitter) execLocked(accesses []stf.Access, id int64, run func()) bool
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(s.worker, stf.TaskID(id))
 	}
-	if s.retry != nil {
-		if !s.runAttempts(accesses, id, run) {
-			s.prog.SetCurrent(stf.NoTask)
-			return false
-		}
-	} else if s.eng.noAcct {
-		run()
-	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
+	if !s.execBody(accesses, id, b) {
+		s.prog.SetCurrent(stf.NoTask)
+		return false
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(s.worker, stf.TaskID(id))
@@ -719,7 +720,7 @@ func (s *submitter) execLocked(accesses []stf.Access, id int64, run func()) bool
 	return true
 }
 
-func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, run func()) {
+func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b taskBody) {
 	if s.err != nil {
 		return
 	}
@@ -744,7 +745,7 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, run func()) {
 		if s.err != nil {
 			return // aborted while waiting
 		}
-		if s.execLocked(accesses, int64(id), run) {
+		if s.execLocked(accesses, int64(id), b) {
 			s.ws.Executed++
 			s.prog.StoreExecuted(s.ws.Executed)
 			if s.track {
@@ -753,7 +754,7 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, run func()) {
 		}
 	} else {
 		if st := s.steal; st != nil && owner != s.worker && st.wants(owner) {
-			s.recordStealCand(owner, id, accesses, run)
+			s.recordStealCand(owner, id, accesses, b)
 		}
 		s.declare(accesses, int64(id))
 		s.ws.Declared++

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"rio/internal/stf"
+	"rio/internal/trace"
 )
 
 // Run hardening: the paper's protocol trusts the program — a
@@ -95,13 +96,13 @@ type healthWords struct {
 	mode     atomic.Int32
 	task     atomic.Int64
 	data     atomic.Int64
-	since    atomic.Int64 // UnixNano of the last phase change to exec/wait
+	since    atomic.Int64 // trace.Mono stamp of the last phase change to exec/wait
 	executed atomic.Int64 // tasks completed by this worker
 }
 
 func (h *workerHealth) setExec(id int64) {
 	h.task.Store(id)
-	h.since.Store(time.Now().UnixNano())
+	h.since.Store(int64(trace.Mono()))
 	h.phase.Store(phaseExec)
 }
 
@@ -114,7 +115,7 @@ func (h *workerHealth) setWait(id stf.TaskID, a stf.Access) {
 	h.task.Store(int64(id))
 	h.data.Store(int64(a.Data))
 	h.mode.Store(int32(a.Mode))
-	h.since.Store(time.Now().UnixNano())
+	h.since.Store(int64(trace.Mono()))
 	h.phase.Store(phaseWait)
 }
 
@@ -327,7 +328,7 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 	defer ticker.Stop()
 
 	lastSum := int64(-1)
-	lastProgress := time.Now()
+	lastProgress := trace.Mono()
 	for {
 		select {
 		case <-done:
@@ -349,14 +350,14 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 		}
 		if sum != lastSum {
 			lastSum = sum
-			lastProgress = time.Now()
+			lastProgress = trace.Mono()
 			continue
 		}
-		if time.Since(lastProgress) < threshold {
+		now := trace.Mono()
+		if now-lastProgress < threshold {
 			continue
 		}
 
-		now := time.Now()
 		st := &stf.StallError{Threshold: threshold}
 		allBlockedOrDone := true
 		longBusy := false
@@ -371,11 +372,11 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 					Task:   stf.TaskID(h.task.Load()),
 					Data:   stf.DataID(h.data.Load()),
 					Mode:   stf.AccessMode(h.mode.Load()),
-					For:    now.Sub(time.Unix(0, h.since.Load())),
+					For:    now - time.Duration(h.since.Load()),
 				})
 			case phaseExec:
 				allBlockedOrDone = false
-				busyFor := now.Sub(time.Unix(0, h.since.Load()))
+				busyFor := now - time.Duration(h.since.Load())
 				if busyFor >= threshold {
 					longBusy = true
 				}

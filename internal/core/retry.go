@@ -23,7 +23,7 @@ import (
 // and safe to snapshot. It returns whether the task completed; on terminal
 // failure the worker's error is set to a *stf.TaskFailure and the run
 // abort is raised (graceful: other workers drain their in-flight bodies).
-func (s *submitter) runAttempts(accesses []stf.Access, id int64, run func()) bool {
+func (s *submitter) runAttempts(accesses []stf.Access, id int64, b taskBody) bool {
 	p := s.retry
 	restore, can := stf.SnapshotWriteSet(s.snaps, accesses)
 	maxAttempts := p.MaxAttempts
@@ -36,7 +36,7 @@ func (s *submitter) runAttempts(accesses []stf.Access, id int64, run func()) boo
 		maxAttempts = 1
 	}
 	for attempt := 1; ; attempt++ {
-		cause, ok := s.tryOnce(run)
+		cause, ok := s.tryOnce(b)
 		if ok {
 			return true
 		}
@@ -64,20 +64,14 @@ func (s *submitter) runAttempts(accesses []stf.Access, id int64, run func()) boo
 }
 
 // tryOnce runs the body once, converting a panic into a returned cause.
-func (s *submitter) tryOnce(run func()) (cause any, ok bool) {
+func (s *submitter) tryOnce(b taskBody) (cause any, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			cause = r
 			ok = false
 		}
 	}()
-	if s.eng.noAcct {
-		run()
-	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
-	}
+	s.runBody(b)
 	return nil, true
 }
 

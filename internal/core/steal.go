@@ -27,6 +27,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"rio/internal/stf"
@@ -39,8 +40,10 @@ type stealCand struct {
 	accesses []stf.Access
 	// reqs are the task's registered counter values, snapshotted from the
 	// recording worker's private state at declare time (one per access).
+	// The buffer belongs to the ring slot: a slot reused by a later
+	// recording overwrites it in place.
 	reqs []stf.StealReq
-	run  func()
+	body taskBody
 }
 
 // stealState is one worker's stealing machinery, allocated only when
@@ -56,7 +59,10 @@ type stealState struct {
 	// filter.
 	victimSet []bool
 	ringCap   int
-	ring      []stealCand
+	// ring holds the live candidates; the slots between its length and
+	// capacity are free, each keeping its reqs buffer for reuse, so a
+	// warmed ring records without allocating.
+	ring []stealCand
 
 	// Table mode (nil meta selects ring mode). tasks and kernel are the
 	// current run's (or window's) task table and dispatcher; cursors is
@@ -98,6 +104,11 @@ func newStealState(p *stf.StealPolicy, self stf.WorkerID, workers int) *stealSta
 // state never survives an epoch boundary — the session resets it before
 // each window and drains it before the window's barrier.
 func (st *stealState) reset(meta *stf.StealMeta, tasks []stf.Task, kernel stf.Kernel) {
+	// Drop the previous run's task references; keep the reqs buffers.
+	slots := st.ring[:cap(st.ring)]
+	for i := range slots {
+		slots[i].accesses, slots[i].body = nil, taskBody{}
+	}
 	st.ring = st.ring[:0]
 	st.meta, st.tasks, st.kernel = meta, tasks, kernel
 	for i := range st.cursors {
@@ -117,22 +128,24 @@ func (st *stealState) wants(owner stf.WorkerID) bool {
 // counters still describe the flow prefix strictly before the task, which
 // is exactly what its get_* calls will compare against. Only called when
 // st.wants(owner) held.
-func (s *submitter) recordStealCand(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, run func()) {
-	reqs := make([]stf.StealReq, len(accesses))
-	for i, a := range accesses {
+func (s *submitter) recordStealCand(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, b taskBody) {
+	st := s.steal
+	n := len(st.ring)
+	st.ring = slices.Grow(st.ring, 1)[:n+1]
+	c := &st.ring[n]
+	reqs := c.reqs[:0]
+	for _, a := range accesses {
 		lo := &s.local[a.Data]
-		reqs[i] = stf.StealReq{
+		reqs = append(reqs, stf.StealReq{
 			Data:       a.Data,
 			Mode:       a.Mode,
 			LastWrite:  lo.lastRegisteredWrite,
 			Reads:      lo.nbReadsSinceWrite,
 			Reds:       lo.nbRedsSinceWrite,
 			RedsBefore: lo.nbRedsBeforeRun,
-		}
+		})
 	}
-	s.steal.ring = append(s.steal.ring, stealCand{
-		id: id, owner: owner, accesses: accesses, reqs: reqs, run: run,
-	})
+	*c = stealCand{id: id, owner: owner, accesses: accesses, reqs: reqs, body: b}
 }
 
 // trySteal makes one bounded steal attempt and reports whether a task was
@@ -153,31 +166,34 @@ func (s *submitter) trySteal() bool {
 func (s *submitter) tryStealRing() bool {
 	st := s.steal
 	ring := st.ring
-	out := ring[:0]
+	kept := 0
 	probed := 0
 	stole := false
 	for i := range ring {
-		c := ring[i]
-		if stole || probed >= st.scanBound {
-			out = append(out, c)
-			continue
+		c := &ring[i]
+		if !stole && probed < st.scanBound {
+			if s.claims.claimed(int64(c.id)) {
+				continue // resolved elsewhere: drop
+			}
+			probed++
+			if s.stealReady(c.reqs) {
+				if s.claims.tryClaim(int64(c.id)) {
+					s.stealExec(c.owner, c.id, c.accesses, c.body)
+					stole = true
+				} else {
+					s.noteStealFailed() // lost the race at the last moment
+				}
+				continue // drop
+			}
 		}
-		if s.claims.claimed(int64(c.id)) {
-			continue // resolved elsewhere: drop
+		// Keep. Swap rather than copy, so every slot still owns exactly
+		// one reqs buffer and the dropped ones end up free for reuse.
+		if kept != i {
+			ring[kept], ring[i] = ring[i], ring[kept]
 		}
-		probed++
-		if !s.stealReady(c.reqs) {
-			out = append(out, c)
-			continue
-		}
-		if !s.claims.tryClaim(int64(c.id)) {
-			s.noteStealFailed()
-			continue // lost the race at the last moment: drop
-		}
-		s.stealExec(c.owner, c.id, c.accesses, c.run)
-		stole = true
+		kept++
 	}
-	st.ring = out
+	st.ring = ring[:kept]
 	return stole
 }
 
@@ -211,8 +227,7 @@ func (s *submitter) tryStealTable() bool {
 		}
 		st.cursors[vi] = cur + 1
 		t := &st.tasks[idx]
-		k := st.kernel
-		s.stealExec(v, stf.TaskID(idx), t.Accesses, func() { k(t, s.worker) })
+		s.stealExec(v, stf.TaskID(idx), t.Accesses, taskBody{t: t, k: st.kernel})
 		return true
 	}
 	return false
@@ -241,7 +256,7 @@ func (s *submitter) stealReady(reqs []stf.StealReq) bool {
 // the task separately at its flow position (it already has, in ring mode;
 // it may not have reached it yet, in table mode — either way the private
 // bookkeeping belongs to the replay, not to the execution).
-func (s *submitter) stealExec(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, run func()) {
+func (s *submitter) stealExec(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, b taskBody) {
 	if h := s.hooks; h != nil && h.OnTaskSteal != nil {
 		h.OnTaskSteal(s.worker, owner, id)
 	}
@@ -256,17 +271,9 @@ func (s *submitter) stealExec(owner stf.WorkerID, id stf.TaskID, accesses []stf.
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(s.worker, id)
 	}
-	if s.retry != nil {
-		if !s.runAttempts(accesses, int64(id), run) {
-			s.prog.SetCurrent(stf.NoTask)
-			return // terminal failure: completion stays unpublished
-		}
-	} else if s.eng.noAcct {
-		run()
-	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
+	if !s.execBody(accesses, int64(id), b) {
+		s.prog.SetCurrent(stf.NoTask)
+		return // terminal failure: completion stays unpublished
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(s.worker, id)

@@ -96,6 +96,71 @@ func TestStealEpochQuiescence(t *testing.T) {
 	}
 }
 
+// TestStealRingSlotReuse: a candidate dropped from the ring frees its slot,
+// and the next recording reuses that slot's requirement buffer. The live
+// candidates that compaction moved must keep their own buffers — a
+// recording into a freed slot may never overwrite a live candidate's
+// readiness proof.
+func TestStealRingSlotReuse(t *testing.T) {
+	const numData = 4
+	shared := make([]sharedState, numData)
+	for i := range shared {
+		shared[i].lastExecutedWrite.Store(int64(stf.NoTask)) // nothing ready
+	}
+	s := &submitter{
+		eng:    &Engine{workers: 2},
+		worker: 0,
+		shared: shared,
+		local:  newLocalArena(2, numData).worker(0),
+		claims: newClaimTable(),
+		steal:  newStealState(&stf.StealPolicy{}, 0, 2),
+	}
+	for d := range s.local {
+		s.local[d].lastRegisteredWrite = int64(100 + d)
+	}
+	record := func(id stf.TaskID, data ...stf.DataID) {
+		acc := make([]stf.Access, len(data))
+		for i, d := range data {
+			acc[i] = stf.R(d)
+		}
+		s.recordStealCand(1, id, acc, taskBody{})
+	}
+	record(1, 0)
+	record(2, 1, 2)
+	record(3, 3)
+	s.claims.tryClaim(1) // resolved elsewhere: the next scan drops it
+	if s.tryStealRing() {
+		t.Fatal("stole a candidate whose dependencies are unresolved")
+	}
+	record(4, 0)
+
+	ring := s.steal.ring
+	want := []struct {
+		id   stf.TaskID
+		data []stf.DataID
+	}{{2, []stf.DataID{1, 2}}, {3, []stf.DataID{3}}, {4, []stf.DataID{0}}}
+	if len(ring) != len(want) {
+		t.Fatalf("ring holds %d candidates, want %d", len(ring), len(want))
+	}
+	for i, w := range want {
+		c := ring[i]
+		if c.id != w.id || len(c.reqs) != len(w.data) {
+			t.Fatalf("slot %d = task %d with %d reqs, want task %d with %d", i, c.id, len(c.reqs), w.id, len(w.data))
+		}
+		for j, d := range w.data {
+			if r := c.reqs[j]; r.Data != d || r.LastWrite != int64(100+d) {
+				t.Errorf("task %d req %d = data %d lastWrite %d, want data %d lastWrite %d", c.id, j, r.Data, r.LastWrite, d, 100+d)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.steal.ring = s.steal.ring[:0]
+		record(5, 1)
+	}); allocs > 1 {
+		t.Errorf("recording into a warmed ring allocates %.0f objects besides the access list", allocs)
+	}
+}
+
 func equalVictims(got, want []stf.WorkerID) bool {
 	if len(got) != len(want) {
 		return false

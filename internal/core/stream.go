@@ -333,7 +333,8 @@ func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
 		s.runStreamTasks(cp, spec.Tasks, spec.Kernel)
 	} else {
 		for i := range spec.Tasks {
-			s.submitRecorded(&spec.Tasks[i], spec.Kernel)
+			t := &spec.Tasks[i]
+			s.submit(t.ID, t.Accesses, taskBody{t: t, k: spec.Kernel})
 		}
 	}
 	if s.steal != nil && s.err == nil {

@@ -174,7 +174,7 @@ func (s *submitter) NumWorkers() int { return 1 }
 func (s *submitter) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
 	id := s.next
 	s.next++
-	s.run(accesses, func() { fn() })
+	s.run(accesses, fn)
 	return id
 }
 
@@ -227,9 +227,9 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 	if s.noAcct {
 		f()
 	} else {
-		t0 := time.Now()
+		t0 := trace.Mono()
 		f()
-		s.ws.Task += time.Since(t0)
+		s.ws.Task += trace.Mono() - t0
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(stf.MasterWorker, id)
@@ -304,9 +304,9 @@ func (s *submitter) tryOnce(f func()) (cause any, ok bool) {
 	if s.noAcct {
 		f()
 	} else {
-		t0 := time.Now()
+		t0 := trace.Mono()
 		f()
-		s.ws.Task += time.Since(t0)
+		s.ws.Task += trace.Mono() - t0
 	}
 	return nil, true
 }

@@ -14,6 +14,16 @@ import (
 	"time"
 )
 
+// monoAnchor is the origin of Mono stamps.
+var monoAnchor = time.Now()
+
+// Mono returns a monotonic-clock stamp: the time elapsed since the package
+// was initialized. It is the engines' per-task and per-wait accounting
+// clock — time.Now also reads the wall clock, which accounting never needs
+// and which would let a wall-clock step skew durations. Differences of two
+// stamps are durations.
+func Mono() time.Duration { return time.Since(monoAnchor) }
+
 // WorkerStats accumulates the per-worker time decomposition. Engines record
 // task and idle time inline; runtime time is the residual of the worker's
 // wall-clock activity.

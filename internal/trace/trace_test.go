@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+func TestMonoMeasuresElapsedTime(t *testing.T) {
+	t0 := Mono()
+	time.Sleep(2 * time.Millisecond)
+	if d := Mono() - t0; d < 2*time.Millisecond {
+		t.Errorf("Mono advanced %v across a 2ms sleep", d)
+	}
+}
+
 func TestCumulativeSumsWorkers(t *testing.T) {
 	s := &Stats{
 		Workers: []WorkerStats{

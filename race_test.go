@@ -1,0 +1,5 @@
+//go:build race
+
+package rio_test
+
+const raceEnabled = true
