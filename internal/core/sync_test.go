@@ -10,6 +10,8 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,16 +162,38 @@ func TestIdleAccountingMatchesWaitHistogram(t *testing.T) {
 	const delay = 4 * time.Millisecond
 	run := func(t *testing.T, pol stf.WaitPolicy, noAcct bool) (*trace.Stats, trace.Progress) {
 		t.Helper()
+		// Worker 0's body starts its delay only once worker 1 has begun
+		// waiting on it, so the whole delay lands inside that wait: a
+		// worker 1 that reached the wait as the body ended would record
+		// microseconds.
+		waiting := make(chan struct{})
+		var once sync.Once
+		hooks := &stf.Hooks{OnWaitStart: func(w stf.WorkerID, _ stf.TaskID, _ stf.Access) {
+			if w == 1 {
+				once.Do(func() { close(waiting) })
+			}
+		}}
 		e := newEngine(t, core.Options{
 			Workers: 2, Mapping: sched.Cyclic(2),
-			WaitPolicy: pol, SpinLimit: 16, NoAccounting: noAcct,
+			WaitPolicy: pol, SpinLimit: 16, NoAccounting: noAcct, Hooks: hooks,
 		})
+		var waitTimedOut atomic.Bool
 		err := e.Run(1, func(s stf.Submitter) {
-			s.Submit(func() { time.Sleep(delay) }, stf.W(0))
+			s.Submit(func() {
+				select {
+				case <-waiting:
+				case <-time.After(10 * time.Second):
+					waitTimedOut.Store(true)
+				}
+				time.Sleep(delay)
+			}, stf.W(0))
 			s.Submit(func() {}, stf.RW(0))
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if waitTimedOut.Load() {
+			t.Fatalf("policy %v: worker 1 never started waiting on task 0", pol)
 		}
 		return e.Stats(), e.Progress()
 	}

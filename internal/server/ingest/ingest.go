@@ -160,46 +160,147 @@ type Submission struct {
 	// form. Graph JSON is canonical (fixed field order, no maps), so the
 	// hash is stable across processes and machines.
 	Hash string
+	// Kernel is the body's "kernel" field: the task body a POST /v1/run
+	// executes the flow with ("" when absent). KernelErr is set instead
+	// when the field is not a string; only a run request rejects that, so
+	// a body that is only submitted is accepted whatever its kernel field.
+	Kernel    string
+	KernelErr error
 }
 
-// envelope is the submit-body wire form: either a bare graph (exactly
-// the rio-graph -json output) or {"graph": …, "mapping": …}.
+// envelope is a submission body decoded in one pass. The body is a bare
+// graph (exactly the rio-graph -json document, its fields at the top
+// level) or {"graph": …, "mapping": …}; either form may carry a mapping
+// and a run request's "kernel". Field names match case-insensitively, as
+// encoding/json matches them.
 type envelope struct {
-	Graph   json.RawMessage `json:"graph,omitempty"`
-	Mapping *MappingSpec    `json:"mapping,omitempty"`
-	// Tasks detects a bare-graph body: a graph object has a tasks field,
-	// an envelope does not.
-	Tasks json.RawMessage `json:"tasks,omitempty"`
+	// bare holds the top-level name, num_data and tasks; bareErr is the
+	// first type error among them, which rejects only a bare-graph body
+	// (an envelope ignores top-level graph fields).
+	bare     stf.WireGraph
+	bareErr  error
+	hasTasks bool
+	// graph is the last "graph" member; graphErr its type error.
+	graph    stf.WireGraph
+	graphErr error
+	hasGraph bool
+
+	mapping   *MappingSpec
+	kernel    string
+	kernelErr error
+}
+
+// decodeEnvelope decodes one JSON object from r member by member, each
+// value straight into its typed field, and requires nothing but white
+// space after it. A type mismatch is kept as the verdict of its member; a
+// syntax or read error ends the decode.
+func decodeEnvelope(r io.Reader) (*envelope, error) {
+	dec := json.NewDecoder(r)
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	if tok != json.Delim('{') {
+		return nil, errors.New("submission is not a JSON object")
+	}
+	env := &envelope{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		key, _ := tok.(string)
+		switch {
+		case strings.EqualFold(key, "graph"):
+			env.hasGraph = true
+			env.graph = stf.WireGraph{}
+			env.graphErr, err = splitTypeError(dec.Decode(&env.graph))
+		case strings.EqualFold(key, "tasks"):
+			env.hasTasks = true
+			err = env.decodeBare(dec, &env.bare.Tasks)
+		case strings.EqualFold(key, "name"):
+			err = env.decodeBare(dec, &env.bare.Name)
+		case strings.EqualFold(key, "num_data"):
+			err = env.decodeBare(dec, &env.bare.NumData)
+		case strings.EqualFold(key, "mapping"):
+			err = dec.Decode(&env.mapping)
+		case strings.EqualFold(key, "kernel"):
+			var kerr error
+			kerr, err = splitTypeError(dec.Decode(&env.kernel))
+			if env.kernelErr == nil {
+				env.kernelErr = kerr
+			}
+		default:
+			var skip json.RawMessage
+			err = dec.Decode(&skip)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the submission object")
+	}
+	return env, nil
+}
+
+// decodeBare decodes a top-level graph member into v, keeping its first
+// type error in bareErr.
+func (env *envelope) decodeBare(dec *json.Decoder, v any) error {
+	typeErr, err := splitTypeError(dec.Decode(v))
+	if env.bareErr == nil {
+		env.bareErr = typeErr
+	}
+	return err
+}
+
+// splitTypeError separates a json.Decoder.Decode error that leaves the
+// stream usable (a value of the wrong type) from one that ends it.
+func splitTypeError(err error) (typeErr, fatal error) {
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) {
+		return err, nil
+	}
+	return nil, err
 }
 
 // Parse reads one submission — a bare graph JSON document or an
 // envelope adding a mapping — validates the (graph, workers, mapping)
 // instance through the same analyze entry points the CLI tools use, and
-// computes its content hash.
+// computes its content hash. The body is decoded once: the graph, the
+// mapping and the run request's kernel come out of the same pass.
 func Parse(r io.Reader, workers int) (*Submission, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("ingest: reading submission: %w", err)
-	}
-	if len(body) > MaxBodyBytes {
+	lr := &io.LimitedReader{R: r, N: MaxBodyBytes + 1}
+	env, err := decodeEnvelope(lr)
+	if lr.N == 0 {
 		return nil, fmt.Errorf("ingest: submission exceeds %d bytes", MaxBodyBytes)
 	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("ingest: decoding submission: %w", err)
 	}
-	graphBytes := []byte(env.Graph)
-	if env.Graph == nil {
-		if env.Tasks == nil {
+	wg, wgErr := &env.graph, env.graphErr
+	if !env.hasGraph {
+		if !env.hasTasks {
 			return nil, errors.New(`ingest: submission has neither "graph" nor "tasks"; POST a graph document or {"graph": …, "mapping": …}`)
 		}
-		graphBytes = body // bare graph body
+		wg, wgErr = &env.bare, env.bareErr
 	}
-	g, err := stf.ReadJSON(strings.NewReader(string(graphBytes)))
+	if wgErr != nil {
+		return nil, fmt.Errorf("ingest: stf: decoding graph: %w", wgErr)
+	}
+	g, err := wg.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	return NewSubmission(g, env.Mapping, workers)
+	sub, err := NewSubmission(g, env.mapping, workers)
+	if err != nil {
+		return nil, err
+	}
+	sub.Kernel, sub.KernelErr = env.kernel, env.kernelErr
+	return sub, nil
 }
 
 // NewSubmission validates an already-parsed graph + mapping spec and

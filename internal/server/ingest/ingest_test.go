@@ -7,6 +7,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,6 +121,169 @@ func TestHashStability(t *testing.T) {
 	if s1.Hash != h1 {
 		t.Error("Parse and Hash disagree on the same flow")
 	}
+	// The flow id README's Serving transcript shows: the hash is taken over
+	// WriteJSON's bytes, so a change to the writer's output moves every id.
+	lu, err := Workload("lu", 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readmeID = "44eedfe7e6865ff9b46cab4d435dfc1b"
+	if id, err := Hash(lu, nil); err != nil || id != readmeID {
+		t.Errorf("Hash(lu 6, cyclic) = %q, %v; want %s", id, err, readmeID)
+	}
+}
+
+// TestHashAllocsFlatInGraphSize: hashing serializes the graph in bounded
+// chunks straight into the digest, so its allocations do not grow with the
+// task count.
+func TestHashAllocsFlatInGraphSize(t *testing.T) {
+	const maxExtra = 4
+	allocs := func(nt int) float64 {
+		g := graphs.LU(nt)
+		var err error
+		n := testing.AllocsPerRun(5, func() {
+			if _, e := Hash(g, nil); e != nil && err == nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	small, large := allocs(10), allocs(20)
+	t.Logf("allocs/hash: LU(10) %.0f, LU(20) %.0f", small, large)
+	if large-small > maxExtra {
+		t.Errorf("hashing LU(20) allocates %.0f more than LU(10) (limit %d): the serialization allocates per task", large-small, maxExtra)
+	}
+}
+
+// parseTwoPass is the submission decoder Parse replaced, kept as the
+// reference for its acceptance: an envelope scan into raw members, then a
+// second decode of the graph (the whole body for a bare graph), plus the
+// server's third decode of the body for the run request's kernel.
+func parseTwoPass(body []byte, workers int) (*Submission, error) {
+	var env struct {
+		Graph   json.RawMessage `json:"graph,omitempty"`
+		Mapping *MappingSpec    `json:"mapping,omitempty"`
+		Tasks   json.RawMessage `json:"tasks,omitempty"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, err
+	}
+	graphBytes := []byte(env.Graph)
+	if env.Graph == nil {
+		if env.Tasks == nil {
+			return nil, errors.New("neither graph nor tasks")
+		}
+		graphBytes = body
+	}
+	g, err := stf.ReadJSON(bytes.NewReader(graphBytes))
+	if err != nil {
+		return nil, err
+	}
+	sub, err := NewSubmission(g, env.Mapping, workers)
+	if err != nil {
+		return nil, err
+	}
+	var rr struct {
+		Kernel string `json:"kernel"`
+	}
+	sub.KernelErr = json.NewDecoder(bytes.NewReader(body)).Decode(&rr)
+	sub.Kernel = rr.Kernel
+	return sub, nil
+}
+
+// checkParseMatchesTwoPass fails when Parse and the two-pass reference
+// disagree on body: one accepts and the other rejects, or both accept but
+// differ in graph, mapping, flow id, kernel or whether the kernel is
+// malformed.
+func checkParseMatchesTwoPass(t *testing.T, body []byte) {
+	t.Helper()
+	want, wantErr := parseTwoPass(body, 4)
+	got, gotErr := Parse(bytes.NewReader(body), 4)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("body %q: Parse error %v, two-pass error %v", body, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got.Graph, want.Graph) {
+		t.Fatalf("body %q: graphs differ:\nParse:    %+v\ntwo-pass: %+v", body, got.Graph, want.Graph)
+	}
+	if !reflect.DeepEqual(got.MappingSpec, want.MappingSpec) || got.Hash != want.Hash {
+		t.Fatalf("body %q: mapping %+v id %s, two-pass %+v id %s", body, got.MappingSpec, got.Hash, want.MappingSpec, want.Hash)
+	}
+	if got.Kernel != want.Kernel || (got.KernelErr == nil) != (want.KernelErr == nil) {
+		t.Fatalf("body %q: kernel %q (err %v), two-pass %q (err %v)", body, got.Kernel, got.KernelErr, want.Kernel, want.KernelErr)
+	}
+}
+
+// parseCorpus covers both body forms and the members Parse resolves
+// specially: null, duplicate and case-folded keys, type errors in members
+// the chosen form ignores, malformed kernels, trailing data.
+func parseCorpus(t testing.TB) [][]byte {
+	var buf bytes.Buffer
+	if err := graphs.LU(3).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lu := buf.String()
+	const one = `{"name":"x","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"W"}]}]}`
+	var corpus [][]byte
+	for _, b := range []string{
+		lu,
+		`{"graph":` + lu + `,"kernel":"spin"}`,
+		`{"graph":` + lu + `,"mapping":"blockcyclic:2","kernel":"noop"}`,
+		`{"kernel":"sleep","graph":` + one + `}`,
+		one[:len(one)-1] + `,"kernel":"spin","mapping":{"assign":[1]}}`,
+		`{"graph":` + one + `,"kernel":5}`,
+		`{"graph":` + one + `,"kernel":null}`,
+		`{"graph":` + one + `,"kernel":"a","kernel":7}`,
+		`{"graph":` + one + `,"Kernel":"spin","GRAPH":` + one + `}`,
+		`{"gr\u0061ph":` + one + `,"\u212aernel":"spin","ma\u017fping":"block"}`,
+		`{"ta\u017fks":[],"NUM_DATA":2}`,
+		`{"graph":null}`,
+		`{"tasks":null}`,
+		`{"graph":{}}`,
+		`{"graph":[]}`,
+		`{"graph":5}`,
+		`{"graph":` + one + `,"name":5,"num_data":"x","tasks":{"a":1}}`,
+		`{"name":5,"tasks":[]}`,
+		`{"num_data":"1","tasks":[]}`,
+		`{"tasks":[{"kernel":"x"}]}`,
+		`{"graph":{"num_data":"x"}}`,
+		`{"graph":{"name":5},"graph":` + one + `}`,
+		`{"graph":` + one + `,"graph":{"name":5}}`,
+		`{"tasks":[{"kernel":1,"i":2}],"tasks":[{"kernel":3}],"num_data":0}`,
+		`{"graph":` + one + `,"mapping":5}`,
+		`{"graph":` + one + `,"mapping":null}`,
+		`{"graph":` + one + `,"extra":{"deep":[1,2,{"x":null}]}}`,
+		`{"graph":` + one + `} `,
+		`{"graph":` + one + `} {}`,
+		`{"graph":` + one + `}]`,
+		`{"graph":` + one,
+		`{"graph":` + one + `,}`,
+		`{"mapping":"cyclic"}`,
+		`{}`, `null`, `[]`, `"graph"`, ``, ` `,
+	} {
+		corpus = append(corpus, []byte(b))
+	}
+	return corpus
+}
+
+func TestParseMatchesTwoPass(t *testing.T) {
+	for _, body := range parseCorpus(t) {
+		checkParseMatchesTwoPass(t, body)
+	}
+}
+
+// FuzzParseMatchesTwoPass: on any body, the one-pass Parse accepts exactly
+// what the two-pass decoder accepted and yields the same submission.
+func FuzzParseMatchesTwoPass(f *testing.F) {
+	for _, body := range parseCorpus(f) {
+		f.Add(body)
+	}
+	f.Fuzz(checkParseMatchesTwoPass)
 }
 
 func TestExplicitSpecRoundTrip(t *testing.T) {
@@ -196,5 +362,37 @@ func TestWorkloadGrammarShared(t *testing.T) {
 	}
 	if _, err := Workload("warp", 3, 1); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// benchBody is the POST /v1/run body of LU(10) (385 tasks): the envelope
+// form with a kernel, as a client that submits and runs in one request
+// sends it.
+func benchBody(b *testing.B) []byte {
+	var buf bytes.Buffer
+	if err := graphs.LU(10).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return []byte(`{"graph":` + buf.String() + `,"kernel":"noop"}`)
+}
+
+func BenchmarkParse(b *testing.B) {
+	body := benchBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Parse(bytes.NewReader(body), 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHash(b *testing.B) {
+	g := graphs.LU(10)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Hash(g, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

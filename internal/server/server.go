@@ -23,7 +23,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -264,8 +263,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)
-	f, cached, err := s.submit(r.Context(), t, body)
+	sub, err := ingest.Parse(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes), s.cfg.Workers)
+	if err != nil {
+		writeSubmitErr(w, err)
+		return
+	}
+	f, cached, err := s.submit(r.Context(), t, sub)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
@@ -273,18 +276,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.flowInfo(f, cached))
 }
 
-// submit runs the shared submission path: ingest.Parse, flow-level
+// submit runs the shared submission path after ingest.Parse: flow-level
 // deduplication by content hash, and — for the first submitter of a new
 // hash — preflight plus one compile (and certification) through the
 // tenant engine's own singleflight. Concurrent submitters of the same
 // bytes converge on one canonical flow and therefore on one *rio.Graph,
 // which is what lets the engine's pointer-keyed cache record exactly one
 // miss however many clients raced the first submission.
-func (s *Server) submit(ctx context.Context, t *tenant, body io.Reader) (*flow, bool, error) {
-	sub, err := ingest.Parse(body, s.cfg.Workers)
-	if err != nil {
-		return nil, false, err
-	}
+func (s *Server) submit(ctx context.Context, t *tenant, sub *ingest.Submission) (*flow, bool, error) {
 	f, winner, err := t.register(sub)
 	if err != nil {
 		return nil, false, err
@@ -374,11 +373,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown flow %q", r.PathValue("id"))
 		return
 	}
-	s.execute(w, r, t, f, r.Body)
+	var rr runRequest
+	if err := decodeOptionalJSON(r.Body, &rr); err != nil {
+		writeErr(w, http.StatusBadRequest, "decoding run request: %v", err)
+		return
+	}
+	s.execute(w, r, t, f, rr.Kernel)
 }
 
 // handleSubmitRun is POST /v1/run: submit and execute in one request
-// (the body is the submit envelope, optionally carrying a kernel field).
+// (the body is the submit envelope, optionally carrying a kernel field,
+// which ingest.Parse decodes in the same pass as the graph).
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -387,40 +392,39 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	f, _, err := s.submit(r.Context(), t, bytes.NewReader(body))
+	sub, err := ingest.Parse(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes), s.cfg.Workers)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
 	}
-	s.execute(w, r, t, f, bytes.NewReader(body))
-}
-
-// execute resolves the kernel, admits the request into the tenant's
-// bounded queue (or answers 429), waits for the executor and writes the
-// result.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, body io.Reader) {
-	var rr runRequest
-	if err := decodeOptionalJSON(body, &rr); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding run request: %v", err)
+	f, _, err := s.submit(r.Context(), t, sub)
+	if err != nil {
+		writeSubmitErr(w, err)
 		return
 	}
-	if rr.Kernel == "" {
-		rr.Kernel = "noop"
+	if sub.KernelErr != nil {
+		writeErr(w, http.StatusBadRequest, "decoding run request: %v", sub.KernelErr)
+		return
 	}
-	k, ok := s.kernels[rr.Kernel]
+	s.execute(w, r, t, f, sub.Kernel)
+}
+
+// execute resolves the kernel (empty means noop), admits the request into
+// the tenant's bounded queue (or answers 429), waits for the executor and
+// writes the result.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, kernel string) {
+	if kernel == "" {
+		kernel = "noop"
+	}
+	k, ok := s.kernels[kernel]
 	if !ok {
-		writeErr(w, http.StatusBadRequest, "unknown kernel %q", rr.Kernel)
+		writeErr(w, http.StatusBadRequest, "unknown kernel %q", kernel)
 		return
 	}
 	req := &execReq{
 		flow:   f,
 		kernel: k,
-		name:   rr.Kernel,
+		name:   kernel,
 		ctx:    r.Context(),
 		queued: time.Now(),
 		done:   make(chan execResult, 1),
@@ -452,7 +456,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 		}
 		writeJSON(w, http.StatusOK, runResult{
 			Flow:     f.id,
-			Kernel:   rr.Kernel,
+			Kernel:   kernel,
 			Executed: res.executed,
 			WallNS:   int64(res.wall),
 			QueueNS:  int64(res.queueWait),
@@ -561,8 +565,7 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 // decodeOptionalJSON decodes one JSON value into v, accepting an empty
-// body as the zero value and ignoring unknown fields (the one-shot run
-// body doubles as the submit envelope).
+// body as the zero value and ignoring unknown fields.
 func decodeOptionalJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {

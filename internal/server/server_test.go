@@ -460,6 +460,33 @@ func TestOneShotRunWithMapping(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyKernelField: POST /v1/run takes its kernel from the
+// submission body's own decode — in both body forms — and rejects a
+// kernel that is not a string, while POST /v1/flows accepts the same body
+// as it always did, kernel field and all.
+func TestSubmitBodyKernelField(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	g := graphs.Chain(3)
+	wire := graphJSON(t, g)
+	badKernel := []byte(`{"graph":` + string(wire) + `,"kernel":5}`)
+
+	if resp := do(t, "POST", hs.URL+"/v1/flows", "", badKernel, nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("submit with a non-string kernel: status %d, want 200", resp.StatusCode)
+	}
+	if resp := do(t, "POST", hs.URL+"/v1/run", "", badKernel, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("run with a non-string kernel: status %d, want 400", resp.StatusCode)
+	}
+
+	bare := append(bytes.TrimRight(wire, "}\n"), []byte(`,"kernel":"spin"}`)...)
+	var res runResult
+	if resp := do(t, "POST", hs.URL+"/v1/run", "", bare, &res); resp.StatusCode != http.StatusOK {
+		t.Fatalf("bare-graph run: status %d", resp.StatusCode)
+	}
+	if res.Kernel != "spin" || res.Executed != int64(len(g.Tasks)) {
+		t.Errorf("bare-graph run: kernel %q executed %d, want spin and %d", res.Kernel, res.Executed, len(g.Tasks))
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
 	info := submitFlow(t, hs.URL, "", graphs.Chain(8))

@@ -2,11 +2,13 @@ package stf_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"rio/internal/analyze"
 	"rio/internal/enginetest"
 	"rio/internal/graphs"
 	"rio/internal/stf"
@@ -40,6 +42,75 @@ func TestJSONRoundTrip(t *testing.T) {
 					t.Fatalf("%s: task %d access %d mismatch", g.Name, i, j)
 				}
 			}
+		}
+	}
+}
+
+// referenceJSON is the encoding/json serialization WriteJSON replaced: the
+// WireGraph of g through an Encoder with two-space indentation. WriteJSON
+// must match it byte for byte, because every flow id is a hash of these
+// bytes.
+func referenceJSON(t testing.TB, g *stf.Graph) []byte {
+	t.Helper()
+	wg := stf.WireGraph{Name: g.Name, NumData: g.NumData, Tasks: make([]stf.WireTask, len(g.Tasks))}
+	for i := range g.Tasks {
+		task := &g.Tasks[i]
+		wt := stf.WireTask{Kernel: task.Kernel, I: task.I, J: task.J, K: task.K}
+		for _, a := range task.Accesses {
+			wt.Accesses = append(wt.Accesses, stf.WireAccess{Data: a.Data, Mode: a.Mode.String(), Idempotent: a.Idempotent})
+		}
+		wg.Tasks[i] = wt
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(wg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteJSONMatchesReference checks WriteJSON against the encoding/json
+// reference over the workload catalogue and the edges of the format:
+// names that need escaping (HTML-sensitive bytes, control bytes, invalid
+// UTF-8, U+2028/U+2029), negative and large selectors, idempotent
+// accesses, empty access lists, an empty graph, and a graph large enough
+// to flush several chunks.
+func TestWriteJSONMatchesReference(t *testing.T) {
+	var gs []*stf.Graph
+	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random"} {
+		for _, size := range []int{1, 4, 12} {
+			g, err := analyze.WorkloadGraph(wl, size, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, g)
+		}
+	}
+	var ascii []byte
+	for c := 0; c < 0x80; c++ {
+		ascii = append(ascii, byte(c))
+	}
+	for _, name := range []string{
+		"", "lu-6", "<script>&amp;</script>", string(ascii),
+		"bad utf-8 \xff\xfe end", "sep \u2028 \u2029 π ✓ 𝄞", `quote " backslash \\`,
+	} {
+		g := stf.NewGraph(name, 3)
+		g.Add(-7, -1, 0, 1<<40, stf.W(0).AsIdempotent(), stf.R(2))
+		g.Add(0, 0, 0, 0)
+		g.Add(1, 2, -3, 0, stf.Red(1).AsIdempotent(), stf.RW(0))
+		g.Add(2, 0, 5, 0, stf.Access{Data: 1, Mode: stf.AccessMode(9)}, stf.Access{Data: 2, Mode: stf.None})
+		gs = append(gs, g)
+	}
+	gs = append(gs, stf.NewGraph("empty", 0), graphs.RandomDeps(3000, 64, 3, 1, 5))
+	for _, g := range gs {
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceJSON(t, g); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%q (%d tasks): WriteJSON differs from the encoding/json reference:\ngot:\n%s\nwant:\n%s",
+				g.Name, len(g.Tasks), buf.Bytes(), want)
 		}
 	}
 }

@@ -32,6 +32,10 @@ type Window struct {
 	touched []DataID
 	stamp   []uint32
 	gen     uint32
+
+	// shape is Fingerprint's reusable buffer: the hashed byte stream is
+	// assembled here and digested in one call.
+	shape []byte
 }
 
 // NewWindow returns an empty window over numData data objects.
@@ -132,24 +136,17 @@ func (w *Window) Reset() {
 // pipelines whose payloads vary but whose access structure repeats hit the
 // cache every window after the first.
 func (w *Window) Fingerprint() [32]byte {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(w.numData))
-	put(uint64(len(w.tasks)))
+	b := binary.LittleEndian.AppendUint64(w.shape[:0], uint64(w.numData))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(w.tasks)))
 	for i := range w.tasks {
 		t := &w.tasks[i]
-		put(uint64(len(t.Accesses)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(t.Accesses)))
 		for _, a := range t.Accesses {
-			put(uint64(uint32(a.Data))<<8 | uint64(a.Mode))
+			b = binary.LittleEndian.AppendUint64(b, uint64(uint32(a.Data))<<8|uint64(a.Mode))
 		}
 	}
-	var fp [32]byte
-	h.Sum(fp[:0])
-	return fp
+	w.shape = b
+	return sha256.Sum256(b)
 }
 
 // Graph returns a Graph view over the window's storage. The view aliases

@@ -1,6 +1,7 @@
 package stf
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -117,6 +118,35 @@ func TestWindowFingerprint(t *testing.T) {
 	for i, v := range variants {
 		if v == a {
 			t.Errorf("variant %d collided with the base shape", i)
+		}
+	}
+}
+
+// TestWindowFingerprintPinned pins the shape digest of a fixed 256-task
+// window, 2 accesses per task: a change to the hashed byte stream would
+// silently split every cached shape of a running pipeline. It also checks
+// that fingerprinting twice, and again after a Reset and re-record, gives
+// the same digest.
+func TestWindowFingerprintPinned(t *testing.T) {
+	const want = "0f9e91053c29e7933d44686347412e526baa0ba668b74aab3302e1910b0a7706"
+	modes := []AccessMode{ReadOnly, WriteOnly, ReadWrite, Reduction}
+	w := NewWindow(64)
+	record := func() {
+		for i := 0; i < 256; i++ {
+			acc := []Access{R(DataID(i % 64)), {Data: DataID((i + 1) % 64), Mode: modes[i%4]}}
+			if _, err := w.Add(nil, i%3, i, 0, 0, acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	record()
+	for pass := 0; pass < 3; pass++ {
+		if pass == 2 {
+			w.Reset()
+			record()
+		}
+		if got := fmt.Sprintf("%x", w.Fingerprint()); got != want {
+			t.Fatalf("pass %d: fingerprint = %s, want %s", pass, got, want)
 		}
 	}
 }
