@@ -69,7 +69,7 @@ func TestReplayAllocsFlatInFlowLength(t *testing.T) {
 				name = p.name + "/steal-armed"
 			}
 			t.Run(name, func(t *testing.T) {
-				o := rio.Options{Workers: 2, Steal: steal, WaitPolicy: rio.WaitSpin}
+				o := rio.Options{Workers: 2, Steal: steal, Tuning: rio.TuningOptions{WaitPolicy: rio.WaitSpin}}
 				allocs := func(nt int) float64 {
 					run := p.prepare(t, graphs.LU(nt), o)
 					var err error

@@ -423,7 +423,7 @@ func BenchmarkSyncContention(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			rt, err := rio.New(rio.Options{
 				Model: rio.InOrder, Workers: benchWorkers, Mapping: m,
-				WaitPolicy: pol, NoAccounting: true,
+				Tuning: rio.TuningOptions{WaitPolicy: pol}, NoAccounting: true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -529,8 +529,8 @@ func BenchmarkRetryOverhead(b *testing.B) {
 		opts rio.Options
 	}{
 		{"nil-policy", rio.Options{}},
-		{"checkpoint", rio.Options{Checkpoint: true}},
-		{"retry-armed", rio.Options{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: snaps}},
+		{"checkpoint", rio.Options{Fault: rio.FaultOptions{Checkpoint: true}}},
+		{"retry-armed", rio.Options{Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: snaps}}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			opts := v.opts

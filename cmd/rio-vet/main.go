@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 	replays := fs.Int("replays", analyze.DefaultReplays, "record-mode replays of the determinism lint")
 	specTasks := fs.Int("spec-tasks", analyze.DefaultSpecTaskLimit, "task-count bound of the spec-conformance pass")
 	retry := fs.Bool("retry", false, "vet the flow as running under a retry policy (arms the retry pass)")
-	snapshottable := fs.Bool("snapshottable", false, "assume every data object is snapshottable (default: none, matching a run without rio.Options.Snapshots)")
+	snapshottable := fs.Bool("snapshottable", false, "assume every data object is snapshottable (default: none, matching a run without rio.Options.Fault.Snapshots)")
 	writeSetLimit := fs.Int("retry-write-set", analyze.DefaultRetryWriteSetLimit, "per-task snapshotted-object count above which the retry pass warns")
 	doVerify := fs.Bool("verify", false, "compile the flow (pruned and unpruned) and certify the streams against the graph (translation validation, RIO-V00x findings)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")

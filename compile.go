@@ -99,10 +99,6 @@ type inflightCompile struct {
 // InOrder (the zero value): the compiled path is specific to
 // decentralized replay.
 func NewEngine(o Options) (*Engine, error) {
-	o, err := normalizeOptions(o)
-	if err != nil {
-		return nil, err
-	}
 	if o.Model != InOrder {
 		return nil, fmt.Errorf("rio: NewEngine: compiled replay requires the InOrder model, got %v", o.Model)
 	}
@@ -244,11 +240,11 @@ func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error)
 		if err := certify(g, cp, mapping, nil); err != nil {
 			return nil, err
 		}
-		if e.opts.Resume != nil {
+		if resume := e.opts.Fault.Resume; resume != nil {
 			// The run will prune the checkpointed tasks out (see
 			// core.RunCompiledContext); certify what will actually run.
-			pruned := stf.PruneCompleted(cp, e.opts.Resume)
-			if err := certify(g, pruned, mapping, e.opts.Resume); err != nil {
+			pruned := stf.PruneCompleted(cp, resume)
+			if err := certify(g, pruned, mapping, resume); err != nil {
 				return nil, err
 			}
 		}
@@ -305,17 +301,7 @@ func (e *Engine) Run(numData int, prog Program) error {
 // RunContext implements Runtime. With Options.Preflight set the program
 // is analyzed in record mode (no task body executes) before every run.
 func (e *Engine) RunContext(ctx context.Context, numData int, prog Program) error {
-	if e.opts.Preflight != 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("rio: run not started: %w", context.Cause(ctx))
-		}
-		if err := preflightProgram(numData, prog, e.opts, e.core.NumWorkers()); err != nil {
-			return err
-		}
-	}
-	ctx, cancel := deadlineContext(ctx, e.opts.Timeout)
-	defer cancel()
-	return e.core.RunContext(ctx, numData, prog)
+	return runChecked(ctx, &e.opts, e.core.NumWorkers(), numData, prog, e.core.RunContext)
 }
 
 // SetMapping replaces the engine's task mapping (nil restores the cyclic

@@ -114,7 +114,7 @@ type Config struct {
 	// Snapshottable reports whether the configured Snapshotter can
 	// capture a data object (mirror of stf.Snapshotter.CanSnapshot); nil
 	// means no object is snapshottable — the same default as running
-	// without rio.Options.Snapshots.
+	// without rio.Options.Fault.Snapshots.
 	Snapshottable func(stf.DataID) bool
 	// RetryWriteSetLimit tunes the retry pass's write-set-size warning
 	// (DefaultRetryWriteSetLimit when <= 0).

@@ -43,20 +43,12 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). Nil
 	// costs the hot path one pointer test per site.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies with write-set
-	// rollback (see stf.RetryPolicy); nil disables retry. Note that with
-	// retry enabled a terminal task failure stops the run (so the
-	// completed set stays dependency-closed), whereas the legacy nil-retry
-	// behavior records the panic and keeps executing independent tasks.
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy; failed runs then return a stf.PartialError. Retry != nil
-	// implies it.
-	Checkpoint bool
+	// Fault installs retry with write-set rollback, checkpointing and
+	// resume (see stf.FaultOptions). Note that with retry enabled a
+	// terminal task failure stops the run (so the completed set stays
+	// dependency-closed), whereas the legacy nil-retry behavior records
+	// the panic and keeps executing independent tasks.
+	Fault stf.FaultOptions
 }
 
 // DefaultSpinLimit is the default ready-queue spin budget of executor pops
@@ -73,10 +65,8 @@ type Engine struct {
 	noAcct     bool
 	wt         waitTuning
 	hooks      *stf.Hooks
-	retry      *stf.RetryPolicy
-	snaps      stf.Snapshotter
-	resume     *stf.Checkpoint
-	checkpoint bool
+	fault      stf.FaultOptions
+	checkpoint bool // fault.Tracking()
 	stats      trace.Stats
 	progress   atomic.Pointer[trace.ProgressTable]
 }
@@ -100,8 +90,7 @@ func New(o Options) (*Engine, error) {
 	return &Engine{
 		workers: o.Workers, kind: o.Scheduler, window: o.Window, hint: o.Hint,
 		noAcct: o.NoAccounting, wt: wt, hooks: o.Hooks,
-		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
-		checkpoint: o.Checkpoint || o.Retry != nil,
+		fault: o.Fault, checkpoint: o.Fault.Tracking(),
 	}, nil
 }
 
@@ -166,6 +155,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		sched:  sched,
 		states: make([]depState, numData),
 		redMu:  make([]sync.Mutex, numData),
+		ctx:    ctx,
 	}
 	m.progress = sync.NewCond(&m.mu)
 	m.prog = rp.Worker(0)
@@ -329,6 +319,10 @@ type master struct {
 	// the master checks it at every dispatch and inside its waits.
 	canceled  atomic.Bool
 	cancelErr error
+	// ctx is the run's context. The watcher goroutine sets canceled once
+	// it is done; a retry backoff also polls it directly, so a cancel is
+	// seen without that latency.
+	ctx context.Context
 
 	mu        sync.Mutex
 	progress  *sync.Cond
@@ -403,7 +397,7 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	if m.err != nil {
 		return
 	}
-	if m.eng.resume != nil && m.eng.resume.Contains(t.id) {
+	if m.eng.fault.Resume != nil && m.eng.fault.Resume.Contains(t.id) {
 		// The task completed in a previous run; its effects are already in
 		// data memory, so no dependency state is registered on its behalf —
 		// successors see it as never having existed, which is exactly an
@@ -443,7 +437,7 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	m.prog.StoreDeclared(m.submitted)
 	m.mu.Unlock()
 
-	if m.eng.retry != nil {
+	if m.eng.fault.Retry != nil {
 		// The attempt loop snapshots the write-set from the access list.
 		t.accs = accesses
 	}
@@ -508,15 +502,7 @@ func (m *master) onFailed(t *task) {
 func (m *master) partialResult() *stf.PartialResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pr := &stf.PartialResult{Tasks: int(m.next)}
-	if r := m.eng.resume; r != nil {
-		pr.Completed = append(pr.Completed, r.Completed...)
-	}
-	pr.Completed = append(pr.Completed, m.doneIDs...)
-	pr.Failed = append(pr.Failed, m.failedIDs...)
-	stf.SortTaskIDs(pr.Completed)
-	stf.SortTaskIDs(pr.Failed)
-	return pr
+	return stf.NewPartialResult(int(m.next), m.eng.fault.Resume, m.doneIDs, m.failedIDs)
 }
 
 // Outcomes of execTask.
@@ -551,12 +537,12 @@ func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 		defer m.redMu[d].Unlock()
 	}
 	h := m.eng.hooks
-	p := m.eng.retry
+	p := m.eng.fault.Retry
 	if p == nil {
 		return execOnce(m, t, w, noAcct, taskTime)
 	}
 
-	restore, can := stf.SnapshotWriteSet(m.eng.snaps, t.accs)
+	restore, can := stf.SnapshotWriteSet(m.eng.fault.Snapshots, t.accs)
 	maxAttempts := p.MaxAttempts
 	if maxAttempts < 1 || !can {
 		maxAttempts = 1
@@ -586,7 +572,7 @@ func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 		if h != nil && h.OnTaskRetry != nil {
 			h.OnTaskRetry(w, t.id, attempt, cause)
 		}
-		if !m.backoff(p.Delay(attempt + 1)) {
+		if !stf.BackoffSleep(p.Delay(attempt+1), m.stopped, nil) {
 			return taskDropped
 		}
 	}
@@ -637,26 +623,8 @@ func tryTask(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) (cau
 	return nil, true
 }
 
-// backoffSlice bounds each individual sleep of a retry backoff so a
-// canceled run cuts the wait short.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices, polling the canceled flag. Returns
-// false when the run aborted mid-wait.
-func (m *master) backoff(d time.Duration) bool {
-	for d > 0 {
-		if m.canceled.Load() {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-	}
-	return !m.canceled.Load()
-}
+// stopped reports whether the run was canceled or aborted.
+func (m *master) stopped() bool { return m.canceled.Load() || m.ctx.Err() != nil }
 
 // recordError stores the first asynchronous (worker-side) error.
 func (m *master) recordError(err error) {

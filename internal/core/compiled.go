@@ -37,10 +37,10 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 	if cp.Workers != e.workers {
 		return fmt.Errorf("core: program compiled for %d workers run on an engine with %d", cp.Workers, e.workers)
 	}
-	if e.resume != nil {
+	if e.fault.Resume != nil {
 		// Checkpoint resume is literal §3.5-style stream pruning: the
 		// completed tasks' micro-ops are dropped from every stream.
-		cp = stf.PruneCompleted(cp, e.resume)
+		cp = stf.PruneCompleted(cp, e.fault.Resume)
 	}
 	// Steal metadata is derived from the (possibly pruned) program actually
 	// run, so resumed tasks are never stealable — consistently with every

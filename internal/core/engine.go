@@ -64,23 +64,9 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). Nil
 	// costs the hot path one pointer test per site.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies (see
-	// stf.RetryPolicy): failed attempts roll back their write-set via
-	// Snapshots and re-execute with deterministic backoff. Nil (the
-	// default) disables retry at the cost of one pointer test per task.
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback. A
-	// task writing data the Snapshotter cannot capture (or nil Snapshots)
-	// is not retried unless its write accesses are flagged Idempotent.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint:
-	// their effects are already in data memory, so the run converges to
-	// the same final state as an uninterrupted one.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy, so a failed run's error carries a stf.PartialResult (and
-	// therefore a resumable stf.Checkpoint). Retry != nil implies it.
-	Checkpoint bool
+	// Fault installs retry with write-set rollback, checkpointing and
+	// resume (see stf.FaultOptions). The zero value disables all of it.
+	Fault stf.FaultOptions
 	// Steal enables bounded, dependency-safe work stealing: an idle worker
 	// (parked or past its spin budget in a dependency wait, or done with
 	// its own replay) may claim and execute a victim's next in-order task
@@ -108,10 +94,8 @@ type Engine struct {
 	stallTimeout time.Duration
 	guard        bool
 	hooks        *stf.Hooks
-	retry        *stf.RetryPolicy
-	snaps        stf.Snapshotter
-	resume       *stf.Checkpoint
-	checkpoint   bool
+	fault        stf.FaultOptions
+	checkpoint   bool // fault.Tracking()
 	steal        *stf.StealPolicy
 	// stealMetaCache memoizes the steal metadata of the last compiled
 	// program run with stealing enabled (steady-state serving replays the
@@ -190,10 +174,8 @@ func New(o Options) (*Engine, error) {
 		stallTimeout: o.StallTimeout,
 		guard:        !o.NoGuard,
 		hooks:        o.Hooks,
-		retry:        o.Retry,
-		snaps:        o.Snapshots,
-		resume:       o.Resume,
-		checkpoint:   o.Checkpoint || o.Retry != nil,
+		fault:        o.Fault,
+		checkpoint:   o.Fault.Tracking(),
 		steal:        o.Steal,
 	}
 	e.mapping.Store(&m)
@@ -315,7 +297,7 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 	arena := newLocalArena(e.workers, numData)
 
 	claims := newClaimTable()
-	abort := &abortState{}
+	abort := &abortState{ctx: ctx}
 	// An abort must reach waiters parked on data event gates, not only
 	// polling ones: raise wakes every gate (set before any worker can
 	// raise, so never racing a raise).
@@ -349,9 +331,9 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 			abort:      abort,
 			prog:       rp.Worker(w),
 			hooks:      e.hooks,
-			retry:      e.retry,
-			snaps:      e.snaps,
-			resume:     e.resume,
+			retry:      e.fault.Retry,
+			snaps:      e.fault.Snapshots,
+			resume:     e.fault.Resume,
 			track:      e.checkpoint,
 			spinBudget: spinSeed,
 		}
@@ -483,13 +465,9 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 // fault-tolerant run from the workers' completed-task logs. A task is
 // completed when its body finished (its effects are published in data
 // memory); the set is dependency-closed because a body only ever started
-// after its get_* waits observed every predecessor's completion. Tasks
-// skipped by a Resume checkpoint are carried over: they stay completed.
+// after its get_* waits observed every predecessor's completion.
 func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResult {
 	var completed, failed []stf.TaskID
-	if e.resume != nil {
-		completed = append(completed, e.resume.Completed...)
-	}
 	maxNext := stf.TaskID(0)
 	for _, s := range subs {
 		completed = append(completed, s.done...)
@@ -501,29 +479,11 @@ func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResul
 			failed = append(failed, tf.Task)
 		}
 	}
-	stf.SortTaskIDs(completed)
-	stf.SortTaskIDs(failed)
-	pr := &stf.PartialResult{
-		Tasks:     int(maxNext),
-		Completed: dedupeTaskIDs(completed),
-		Failed:    dedupeTaskIDs(failed),
-	}
+	tasks := int(maxNext)
 	if flowLen >= 0 {
-		pr.Tasks = flowLen
+		tasks = flowLen
 	}
-	return pr
-}
-
-// dedupeTaskIDs compacts a sorted ID slice in place (each worker replays
-// the whole flow, so resume-carried IDs repeat across workers).
-func dedupeTaskIDs(ids []stf.TaskID) []stf.TaskID {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return stf.NewPartialResult(tasks, e.fault.Resume, completed, failed)
 }
 
 // Stats returns the time decomposition of the last Run.

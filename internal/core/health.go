@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,10 +47,19 @@ type abortState struct {
 	// abort promptly. Set once before any worker starts (never concurrent
 	// with raise); must be idempotent, as every raise invokes it.
 	onRaise func()
+	// ctx is the run's context (nil for stream sessions). A watcher
+	// goroutine raises the flag once it is done; stopped also polls it
+	// directly so a retry backoff sees a cancel without that latency.
+	ctx context.Context
 }
 
 // raised reports whether the run is aborting.
 func (a *abortState) raised() bool { return a.flag.Load() }
+
+// stopped reports whether the run is aborting or its context is done.
+func (a *abortState) stopped() bool {
+	return a.raised() || (a.ctx != nil && a.ctx.Err() != nil)
+}
 
 // raise aborts the run with err as the cause if none was recorded yet.
 // external marks causes that are not already recorded in a worker's err.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"rio/internal/stf"
-)
+import "rio/internal/stf"
 
 // Task retry with write-set rollback. When a RetryPolicy is installed, the
 // per-worker recover moves from the worker goroutine (where a panic aborts
@@ -56,7 +52,7 @@ func (s *submitter) runAttempts(accesses []stf.Access, id int64, b taskBody) boo
 		if h := s.hooks; h != nil && h.OnTaskRetry != nil {
 			h.OnTaskRetry(s.worker, stf.TaskID(id), attempt, cause)
 		}
-		if !s.backoff(p.Delay(attempt+1), id) {
+		if !stf.BackoffSleep(p.Delay(attempt+1), s.abort.stopped, s.heartbeat(id)) {
 			s.fail(errAborted)
 			return false
 		}
@@ -75,31 +71,14 @@ func (s *submitter) tryOnce(b taskBody) (cause any, ok bool) {
 	return nil, true
 }
 
-// backoffSlice bounds each individual sleep of a retry backoff so the
-// worker keeps polling the abort latch and keeps refreshing its watchdog
-// heartbeat: a task in backoff is live, not stuck, and must neither trip
-// the StuckTask verdict nor outlive a run abort by a full backoff.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices. Returns false when the run aborted
-// mid-wait.
-func (s *submitter) backoff(d time.Duration, id int64) bool {
-	for d > 0 {
-		if s.abort.raised() {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-		if h := s.health; h != nil {
-			// Re-stamp the heartbeat: to the watchdog this task has been
-			// "busy" only since the last slice, never across the whole
-			// backoff schedule.
-			h.setExec(id)
-		}
+// heartbeat returns the per-slice tick of a retry backoff: with the
+// watchdog armed it re-stamps the worker's heartbeat, so to the watchdog
+// the task has been "busy" only since the last slice, never across the
+// whole backoff schedule.
+func (s *submitter) heartbeat(id int64) func() {
+	h := s.health
+	if h == nil {
+		return nil
 	}
-	return !s.abort.raised()
+	return func() { h.setExec(id) }
 }

@@ -269,11 +269,13 @@ func TestStealRetryChaos(t *testing.T) {
 				Workers: p,
 				Mapping: m,
 				Steal:   &stf.StealPolicy{},
-				Retry:   &stf.RetryPolicy{MaxAttempts: 3},
-				Snapshots: stf.SnapshotFuncs{Save: func(d stf.DataID) func() {
-					v := tr.Vals[d]
-					return func() { tr.Vals[d] = v }
-				}},
+				Fault: stf.FaultOptions{
+					Retry: &stf.RetryPolicy{MaxAttempts: 3},
+					Snapshots: stf.SnapshotFuncs{Save: func(d stf.DataID) func() {
+						v := tr.Vals[d]
+						return func() { tr.Vals[d] = v }
+					}},
+				},
 			})
 			kern := faultinject.Flaky(enginetest.Kernel(tr, &clock), 42, 0.4)
 			if mode == "closure" {

@@ -112,8 +112,8 @@ type Session struct {
 //
 // Sessions do not arm the stall watchdog (a window with no traffic is
 // indistinguishable from a stall at this layer — use timeout for bounded
-// windows), do not take checkpoints and ignore Options.Resume: those are
-// finite-flow notions.
+// windows), do not take checkpoints and ignore Options.Fault.Resume: those
+// are finite-flow notions.
 func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, error) {
 	if numData < 0 {
 		return nil, errors.New("core: negative numData")
@@ -146,8 +146,8 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 			local:      arena.worker(w),
 			prog:       rp.Worker(w),
 			hooks:      e.hooks,
-			retry:      e.retry,
-			snaps:      e.snaps,
+			retry:      e.fault.Retry,
+			snaps:      e.fault.Snapshots,
 			spinBudget: e.spinLimit,
 		}
 		if e.steal != nil {

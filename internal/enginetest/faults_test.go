@@ -405,8 +405,8 @@ func TestFaultRetryToSuccess(t *testing.T) {
 			var mu sync.Mutex
 			var retries []int
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			opts.Hooks = &rio.Hooks{OnTaskRetry: func(_ stf.WorkerID, id stf.TaskID, attempt int, _ any) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -452,8 +452,8 @@ func TestFaultRetryRollsBackWriteSet(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.CorruptThenFail(enginetest.Kernel(tr, &clock), 1, 2, func() {
 				tr.Vals[0] = 0xDEAD // dirty task 1's write-set mid-body
@@ -478,8 +478,8 @@ func TestFaultRetriesExhausted(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.PanicAt(enginetest.Kernel(tr, &clock), failID)
 			err := rt.Run(g.NumData, stf.Replay(g, kern))
@@ -520,6 +520,62 @@ func TestFaultRetriesExhausted(t *testing.T) {
 	}
 }
 
+// cancelOnPoll is a run context that, once armed, cancels itself on the
+// next Err poll while still answering that poll with nil: the run is
+// canceled right after the poller last saw it live.
+type cancelOnPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	armed  atomic.Bool
+}
+
+func (c *cancelOnPoll) Err() error {
+	err := c.Context.Err()
+	if c.armed.CompareAndSwap(true, false) {
+		c.cancel()
+	}
+	return err
+}
+
+// A run canceled while a failed task sleeps its retry backoff must drop the
+// pending attempt: the backoff re-checks cancellation after its last slice,
+// so no engine starts another attempt of the task on a canceled run. The
+// backoff is a single slice; the retry hook arms the context, so the
+// backoff's first cancellation check cancels the run and the cancel lands
+// inside the slice without depending on timer or scheduling latency.
+func TestFaultRetryCancelDuringBackoff(t *testing.T) {
+	g := graphs.Chain(4)
+	const failID = 1
+	for _, spec := range faultEngines() {
+		t.Run(spec.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pc := &cancelOnPoll{Context: ctx, cancel: cancel}
+			var attempts atomic.Int64
+			opts := spec.opts
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond}
+			opts.Fault.Snapshots = stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }}
+			opts.Hooks = &rio.Hooks{OnTaskRetry: func(stf.WorkerID, stf.TaskID, int, any) {
+				pc.armed.Store(true)
+			}}
+			rt := mustEngine(t, opts)
+			kern := func(tk *stf.Task, _ stf.WorkerID) {
+				if tk.ID == failID {
+					attempts.Add(1)
+					panic("transient")
+				}
+			}
+			err := rt.RunContext(pc, g.NumData, stf.Replay(g, kern))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("error does not wrap context.Canceled: %v", err)
+			}
+			if n := attempts.Load(); n != 1 {
+				t.Errorf("task %d ran %d attempts, want 1 (attempt started after cancel)", failID, n)
+			}
+		})
+	}
+}
+
 // Backoff sleeps must read as liveness to the stall watchdog: a retrying
 // task re-stamps its heartbeat across every backoff slice, so a backoff
 // longer than StallTimeout must NOT abort the run as a stuck task.
@@ -535,8 +591,10 @@ func TestFaultRetryBackoffKeepsWatchdogQuiet(t *testing.T) {
 	rt := mustEngine(t, rio.Options{
 		Model: rio.InOrder, Workers: 2,
 		StallTimeout: 50 * time.Millisecond,
-		Retry:        &rio.RetryPolicy{MaxAttempts: 4, Backoff: 150 * time.Millisecond},
-		Snapshots:    snapshotVals(tr),
+		Fault: rio.FaultOptions{
+			Retry:     &rio.RetryPolicy{MaxAttempts: 4, Backoff: 150 * time.Millisecond},
+			Snapshots: snapshotVals(tr),
+		},
 	})
 	kern := faultinject.FailNTimes(enginetest.Kernel(tr, &clock), failID, failures)
 	start := time.Now()
@@ -572,8 +630,8 @@ func TestFaultChaosStorm(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.Flaky(enginetest.Kernel(tr, &clock), 42, 0.4)
 			if err := rt.Run(g.NumData, stf.Replay(g, kern)); err != nil {

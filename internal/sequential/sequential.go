@@ -20,14 +20,11 @@ import (
 // Engine executes STF programs sequentially. The zero value is not usable;
 // use New.
 type Engine struct {
-	noAcct     bool
-	hooks      *stf.Hooks
-	retry      *stf.RetryPolicy
-	snaps      stf.Snapshotter
-	resume     *stf.Checkpoint
-	checkpoint bool
-	stats      trace.Stats
-	progress   atomic.Pointer[trace.ProgressTable]
+	noAcct   bool
+	hooks    *stf.Hooks
+	fault    stf.FaultOptions
+	stats    trace.Stats
+	progress atomic.Pointer[trace.ProgressTable]
 }
 
 // Options configures a sequential engine.
@@ -37,28 +34,16 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). The
 	// sequential engine never waits, so the wait hooks never fire.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies with write-set
-	// rollback (see stf.RetryPolicy); nil disables retry. A terminal task
-	// failure stops the run with a *stf.TaskFailure (instead of the
-	// legacy bare panic message).
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy; failed runs then return a stf.PartialError. Retry != nil
-	// implies it.
-	Checkpoint bool
+	// Fault installs retry with write-set rollback, checkpointing and
+	// resume (see stf.FaultOptions). A terminal task failure under retry
+	// stops the run with a *stf.TaskFailure (instead of the legacy bare
+	// panic message).
+	Fault stf.FaultOptions
 }
 
 // New returns a sequential engine.
 func New(o Options) *Engine {
-	return &Engine{
-		noAcct: o.NoAccounting, hooks: o.Hooks,
-		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
-		checkpoint: o.Checkpoint || o.Retry != nil,
-	}
+	return &Engine{noAcct: o.NoAccounting, hooks: o.Hooks, fault: o.Fault}
 }
 
 // Name identifies the execution model in reports.
@@ -90,7 +75,8 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	}
 	s := &submitter{
 		noAcct: e.noAcct, hooks: e.hooks, prog: rp.Worker(0),
-		retry: e.retry, snaps: e.snaps, resume: e.resume, track: e.checkpoint,
+		retry: e.fault.Retry, snaps: e.fault.Snapshots, resume: e.fault.Resume,
+		track: e.fault.Tracking(),
 	}
 	if ctx.Done() != nil {
 		s.ctx = ctx
@@ -107,8 +93,8 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	e.stats = trace.Stats{Workers: []trace.WorkerStats{s.ws}, Wall: wall, Accounted: !e.noAcct}
 	rp.Finish()
 	err := s.err
-	if err != nil && e.checkpoint {
-		err = &stf.PartialError{Cause: err, Result: s.partialResult(e.resume)}
+	if err != nil && s.track {
+		err = &stf.PartialError{Cause: err, Result: s.partialResult()}
 	}
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
 		h.OnRunEnd(err)
@@ -149,18 +135,13 @@ type submitter struct {
 // partialResult assembles the frontier of a failed checkpointing run;
 // sequential execution makes it trivially dependency-closed (a prefix of
 // the flow, minus nothing).
-func (s *submitter) partialResult(resume *stf.Checkpoint) *stf.PartialResult {
-	pr := &stf.PartialResult{Tasks: int(s.next)}
-	if resume != nil {
-		pr.Completed = append(pr.Completed, resume.Completed...)
-	}
-	pr.Completed = append(pr.Completed, s.done...)
-	stf.SortTaskIDs(pr.Completed)
+func (s *submitter) partialResult() *stf.PartialResult {
+	var failed []stf.TaskID
 	var tf *stf.TaskFailure
 	if errors.As(s.err, &tf) {
-		pr.Failed = []stf.TaskID{tf.Task}
+		failed = []stf.TaskID{tf.Task}
 	}
-	return pr
+	return stf.NewPartialResult(int(s.next), s.resume, s.done, failed)
 }
 
 // Worker implements stf.Submitter; the sequential executor is its own
@@ -195,7 +176,7 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 	if s.err != nil {
 		return
 	}
-	if s.ctx != nil && s.ctx.Err() != nil {
+	if s.canceled() {
 		s.err = fmt.Errorf("sequential: run canceled: %w", context.Cause(s.ctx))
 		return
 	}
@@ -275,8 +256,7 @@ func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, f func()) 
 		if restore != nil {
 			restore()
 		}
-		canceled := s.ctx != nil && s.ctx.Err() != nil
-		if attempt >= maxAttempts || !p.Transient(cause) || canceled {
+		if attempt >= maxAttempts || !p.Transient(cause) || s.canceled() {
 			// Current stays parked on the failed task, like the panic path.
 			s.err = &stf.TaskFailure{Task: id, Attempts: attempt, Cause: cause}
 			return
@@ -286,7 +266,7 @@ func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, f func()) 
 		if h := s.hooks; h != nil && h.OnTaskRetry != nil {
 			h.OnTaskRetry(stf.MasterWorker, id, attempt, cause)
 		}
-		if !s.backoff(p.Delay(attempt + 1)) {
+		if !stf.BackoffSleep(p.Delay(attempt+1), s.canceled, nil) {
 			s.err = fmt.Errorf("sequential: run canceled: %w", context.Cause(s.ctx))
 			return
 		}
@@ -311,23 +291,5 @@ func (s *submitter) tryOnce(f func()) (cause any, ok bool) {
 	return nil, true
 }
 
-// backoffSlice bounds each individual sleep of a retry backoff so a
-// canceled run cuts the wait short.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices, polling the run context. Returns
-// false when the run was canceled mid-wait.
-func (s *submitter) backoff(d time.Duration) bool {
-	for d > 0 {
-		if s.ctx != nil && s.ctx.Err() != nil {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-	}
-	return true
-}
+// canceled reports whether the run context was canceled.
+func (s *submitter) canceled() bool { return s.ctx != nil && s.ctx.Err() != nil }

@@ -71,6 +71,36 @@ func (p *RetryPolicy) Delay(attempt int) time.Duration {
 	return d
 }
 
+// FaultOptions groups the fault-tolerance knobs every engine honours:
+// retry with write-set rollback, checkpointing and resume. The zero value
+// disables all of it.
+type FaultOptions struct {
+	// Retry installs transient-fault tolerance: a task body that panics
+	// (or fails per Retry.Classify) has its write-set rolled back via
+	// Snapshots and is re-executed after a deterministic backoff, up to
+	// Retry.MaxAttempts times. Tasks whose written data is neither
+	// idempotent (see Access.AsIdempotent) nor snapshottable get exactly
+	// one attempt. nil (the default) disables retry and costs the hot path
+	// one pointer test per task. Retry implies Checkpoint.
+	Retry *RetryPolicy
+	// Snapshots captures and restores data objects for retry rollback.
+	// Without it, only tasks whose writes are all idempotent are retried.
+	Snapshots Snapshotter
+	// Resume skips the tasks recorded as completed in a previous run's
+	// Checkpoint (obtained from a PartialError); their effects must still
+	// be present in the data objects. The program (or graph) must be the
+	// one that produced the checkpoint.
+	Resume *Checkpoint
+	// Checkpoint enables completed-task tracking: a failed run returns a
+	// *PartialError whose PartialResult carries the dependency-closed
+	// completed frontier for Resume. Implied by Retry.
+	Checkpoint bool
+}
+
+// Tracking reports whether completed tasks must be logged: checkpointing
+// was requested, or implied by a retry policy.
+func (o FaultOptions) Tracking() bool { return o.Checkpoint || o.Retry != nil }
+
 // Snapshotter is the capability that makes rollback possible: it captures
 // the value of one runtime-managed data object and returns a closure that
 // restores it. The runtime invokes it on the executing worker, after the
@@ -160,10 +190,10 @@ func (f *TaskFailure) Error() string {
 
 // Checkpoint is a dependency-closed frontier of a partially executed task
 // flow: the set of tasks whose effects are fully published in data memory.
-// Passing it as Options.Resume makes the next run of the same flow skip
-// exactly these tasks; because the set is dependency-closed and the skipped
-// tasks' results are already in memory, the resumed run converges to the
-// same final state as an uninterrupted one (see DESIGN.md, "Fault
+// Passing it as Options.Fault.Resume makes the next run of the same flow
+// skip exactly these tasks; because the set is dependency-closed and the
+// skipped tasks' results are already in memory, the resumed run converges
+// to the same final state as an uninterrupted one (see DESIGN.md, "Fault
 // tolerance").
 type Checkpoint struct {
 	// Tasks is the length of the task-flow prefix the interrupted run
@@ -247,8 +277,54 @@ func (e *PartialError) Error() string {
 // Unwrap exposes the underlying failure for errors.Is / errors.As.
 func (e *PartialError) Unwrap() error { return e.Cause }
 
-// SortTaskIDs sorts ids ascending in place — the canonical order of
-// Checkpoint.Completed and the PartialResult sets.
-func SortTaskIDs(ids []TaskID) {
+// NewPartialResult assembles the PartialResult of an aborted run from an
+// engine's own logs: tasks is the observed flow-prefix length, resume the
+// checkpoint the run skipped (its tasks stay completed), completed and
+// failed the tasks the run finished and failed terminally, in any order
+// and possibly repeated. Both sets come back sorted ascending without
+// duplicates. failed is sorted in place.
+func NewPartialResult(tasks int, resume *Checkpoint, completed, failed []TaskID) *PartialResult {
+	var done []TaskID
+	if resume != nil {
+		done = append(done, resume.Completed...)
+	}
+	done = append(done, completed...)
+	return &PartialResult{Tasks: tasks, Completed: sortedUnique(done), Failed: sortedUnique(failed)}
+}
+
+// sortedUnique sorts ids ascending and compacts out repeats, in place.
+func sortedUnique(ids []TaskID) []TaskID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := ids[:0]
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// backoffSlice bounds each individual sleep of a retry backoff, so an
+// aborted run cuts the wait short and a watchdog keeps seeing a heartbeat.
+const backoffSlice = 10 * time.Millisecond
+
+// BackoffSleep sleeps d in slices of at most 10ms, the retry backoff every
+// engine shares. stopped is polled before each slice and once after the
+// last one; tick, when non-nil, runs after every slice (the in-order
+// engine re-stamps its watchdog heartbeat there: a task in backoff is
+// live, not stuck). It reports false when stopped cut the wait short or
+// turned true by its end, in which case the caller must drop the attempt.
+func BackoffSleep(d time.Duration, stopped func() bool, tick func()) bool {
+	for d > 0 {
+		if stopped() {
+			return false
+		}
+		step := min(d, backoffSlice)
+		time.Sleep(step)
+		d -= step
+		if tick != nil {
+			tick()
+		}
+	}
+	return !stopped()
 }

@@ -143,6 +143,24 @@ func TestCriticalPath(t *testing.T) {
 	if work != 35*time.Microsecond {
 		t.Errorf("work = %v, want 35µs", work)
 	}
+
+	// Wavefront 5x5 with uniform 10µs tasks: the critical path is 9 cells
+	// of 25, so work/critical = 25/9 ≈ 2.8 — the graph's own bound on
+	// pipelining efficiency, work / (p · critical).
+	g = graphs.Wavefront(5, 5)
+	rec = trace.NewRecorder(1)
+	for id := range g.Tasks {
+		start := time.Duration(id*10) * time.Microsecond
+		rec.Record(0, trace.Span{Task: stf.TaskID(id), Start: start, End: start + 10*time.Microsecond})
+	}
+	critical, work = rec.CriticalPath(g)
+	if critical != 90*time.Microsecond || work != 250*time.Microsecond {
+		t.Errorf("uniform 5x5 wavefront: critical = %v, work = %v, want 90µs, 250µs", critical, work)
+	}
+	ratio := float64(work) / float64(critical)
+	if ratio < 1.5 || ratio > 4 {
+		t.Errorf("work/critical = %.2f, expected ≈ 2.8 for uniform 5x5 wavefront", ratio)
+	}
 }
 
 func TestOrderedSpans(t *testing.T) {
@@ -156,8 +174,9 @@ func TestOrderedSpans(t *testing.T) {
 }
 
 func TestCriticalPathOnRealRun(t *testing.T) {
-	// The measured pipelining efficiency can never beat the task graph's
-	// own bound work / (p · critical).
+	// On a real run the spans are whatever the scheduler made of them, so
+	// no ratio band holds; CriticalPath must instead agree with an
+	// independent longest-path computation over the recorded durations.
 	const p = 2
 	g := graphs.Wavefront(5, 5)
 	rec := trace.NewRecorder(p)
@@ -170,14 +189,41 @@ func TestCriticalPathOnRealRun(t *testing.T) {
 	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
 		t.Fatal(err)
 	}
-	critical, work := rec.CriticalPath(g)
-	if critical <= 0 || work < critical {
-		t.Fatalf("critical=%v work=%v", critical, work)
+	durs := make(map[stf.TaskID]time.Duration)
+	for w := 0; w < p; w++ {
+		for _, s := range rec.Spans(w) {
+			durs[s.Task] = s.End - s.Start
+		}
 	}
-	// Wavefront 5x5 with uniform tasks: critical path is 9 cells of 25,
-	// so work/critical ≈ 25/9 ≈ 2.8.
-	ratio := float64(work) / float64(critical)
-	if ratio < 1.5 || ratio > 4 {
-		t.Errorf("work/critical = %.2f, expected ≈ 2.8 for uniform 5x5 wavefront", ratio)
+	if len(durs) != len(g.Tasks) {
+		t.Fatalf("recorded %d task spans, want %d", len(durs), len(g.Tasks))
+	}
+	var wantWork time.Duration
+	for _, d := range durs {
+		wantWork += d
+	}
+	// Longest path ending at each task, by memoized recursion over the
+	// graph's dependencies.
+	deps := g.Dependencies()
+	memo := make(map[stf.TaskID]time.Duration)
+	var longest func(id stf.TaskID) time.Duration
+	longest = func(id stf.TaskID) time.Duration {
+		if l, ok := memo[id]; ok {
+			return l
+		}
+		var before time.Duration
+		for _, d := range deps[id] {
+			before = max(before, longest(d))
+		}
+		memo[id] = before + durs[id]
+		return memo[id]
+	}
+	var wantCritical time.Duration
+	for id := range g.Tasks {
+		wantCritical = max(wantCritical, longest(stf.TaskID(id)))
+	}
+	critical, work := rec.CriticalPath(g)
+	if critical != wantCritical || work != wantWork {
+		t.Errorf("CriticalPath = (%v, %v), want (%v, %v)", critical, work, wantCritical, wantWork)
 	}
 }

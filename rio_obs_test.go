@@ -64,7 +64,7 @@ func TestEnginePreflightRejectsGraph(t *testing.T) {
 }
 
 // Progress must be reachable through the Runtime interface for every
-// model, including decorated runtimes (Timeout/Preflight wrappers).
+// model, with Timeout and Preflight set.
 func TestProgressThroughPublicAPI(t *testing.T) {
 	g := graphs.Wavefront(4, 4)
 	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.CentralizedPrio, rio.Sequential} {

@@ -258,7 +258,7 @@ func TestStealOptionValidatedThroughPublicAPI(t *testing.T) {
 }
 
 func TestSpinLimitOptionThroughPublicAPI(t *testing.T) {
-	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: 2, Mapping: rio.CyclicMapping(2), SpinLimit: 4})
+	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: 2, Mapping: rio.CyclicMapping(2), Tuning: rio.TuningOptions{SpinLimit: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestVerifyOptionCertifiesOnCacheMiss(t *testing.T) {
 func TestVerifyOptionWithResume(t *testing.T) {
 	g := graphs.LU(4)
 	c := &rio.Checkpoint{Tasks: len(g.Tasks), Completed: []rio.TaskID{0, 1, 2}}
-	e, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: rio.CyclicMapping(2), Verify: true, Resume: c})
+	e, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: rio.CyclicMapping(2), Verify: true, Fault: rio.FaultOptions{Resume: c}})
 	if err != nil {
 		t.Fatal(err)
 	}

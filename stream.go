@@ -14,9 +14,10 @@ import (
 // of worker goroutines and one per-data state arena persist across the
 // whole stream, windows replay between epoch barriers, and repeated window
 // shapes hit a compiled-program cache keyed by the window's content hash.
-// New attaches a fallback implementation to every other model (each window
-// runs as one ordinary engine run), so OpenStream works on any Runtime —
-// which is exactly what the pipeline ablation compares.
+// The runtime New returns for every other model implements it through a
+// fallback (each window runs as one ordinary engine run), and OpenStream
+// takes the same fallback on any Runtime without a Stream method — which
+// is exactly what the pipeline ablation compares.
 type Streamer interface {
 	// Stream opens a streaming session over numData data objects. The
 	// returned Stream must be Closed.
@@ -80,7 +81,7 @@ type Stream struct {
 	shapeHits, shapeMisses int64
 
 	// Fallback backend: every window is one synchronous run.
-	rt Runtime
+	run func(numData int, prog Program) error
 
 	win       [2]*stf.Window // double buffer: record k+1 while k executes
 	cur       int
@@ -143,28 +144,29 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	return s, nil
 }
 
-// newRuntimeStream opens a fallback stream over any Runtime: each window
-// executes as one ordinary synchronous run of rt. This keeps the Stream
-// semantics (windowed submission, epoch barriers, sticky errors) identical
-// across models, with the per-window cost profile of the underlying engine
-// — the centralized baseline of the pipeline ablation pays a full unroll,
+// newRuntimeStream opens a fallback stream: each window executes as one
+// ordinary synchronous call of run. This keeps the Stream semantics
+// (windowed submission, epoch barriers, sticky errors) identical across
+// models, with the per-window cost profile of the underlying engine — the
+// centralized baseline of the pipeline ablation pays a full unroll,
 // dependency derivation and goroutine fan-out per window.
-func newRuntimeStream(rt Runtime, numData int, opts StreamOptions) (*Stream, error) {
+func newRuntimeStream(run func(numData int, prog Program) error, numData int, opts StreamOptions) (*Stream, error) {
 	s, err := newStream(numData, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
+	s.run = run
 	return s, nil
 }
 
-// OpenStream opens a streaming session over rt: natively when rt
-// implements Streamer, through the per-window fallback otherwise.
+// OpenStream opens a streaming session over rt through its Stream method
+// when rt implements Streamer (every runtime New returns does), and
+// through the per-window fallback over rt.Run otherwise.
 func OpenStream(rt Runtime, numData int, opts StreamOptions) (*Stream, error) {
 	if st, ok := rt.(Streamer); ok {
 		return st.Stream(numData, opts)
 	}
-	return newRuntimeStream(rt, numData, opts)
+	return newRuntimeStream(rt.Run, numData, opts)
 }
 
 // Submit records a closure task accessing the given data into the current
@@ -268,7 +270,7 @@ func (s *Stream) flushWindow(w *stf.Window) error {
 			}
 		}
 	}
-	if err := s.rt.Run(s.numData, prog); err != nil {
+	if err := s.run(s.numData, prog); err != nil {
 		return fmt.Errorf("rio: stream window %d: %w", s.windows+1, err)
 	}
 	return nil
